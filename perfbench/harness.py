@@ -24,7 +24,7 @@ import statistics
 import sys
 import traceback
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Optional
 
@@ -36,9 +36,6 @@ from workloads import STRATEGY_MIX, WORKLOADS
 
 #: timings per operation: a host burst must hit all of them to count
 MIN_ROUNDS = 2
-#: set-ups timed in a run's first round (later rounds set up once), so the
-#: set-up median rests on more samples than there are rounds
-FIRST_ROUND_SETUPS = 2
 
 #: (name, unit) of every end-to-end metric, in print order
 END_TO_END = (
@@ -69,67 +66,137 @@ SCHEDULER_ENTRIES = tuple(
 )
 
 
-def per_layer_units() -> Dict[str, str]:
-    """Name -> unit of every per-layer metric, in print order."""
-    units = {
-        "generators.dag_s": "s",
-        "generators.price_s": "s",
-        "generators.stream_s": "s",
-        "scenarios.materialize_s": "s",
-        "workflow.ranks.calls": "count",
-        "workflow.ranks_s": "s",
-        "workflow.pred_comms_s": "s",
-        "workflow.cost_matrix.calls": "count",
-        "workflow.cost_matrix_s": "s",
-        "predictor.estimate.calls": "count",
-        "predictor.estimate_s": "s",
-        "costs.lazy_price.calls": "count",
-        "scheduling.self_s": "s",
-        "scheduling.frame.fea.calls": "count",
-        "scheduling.flow.solve.calls": "count",
-        "scheduling.flow.solve_s": "s",
-    }
-    for strategy, method in SCHEDULER_ENTRIES:
-        units[f"scheduling.{method}_s.{strategy}"] = "s"
-        units[f"scheduling.{method}.calls.{strategy}"] = "count"
-    units.update(
-        {
-            "adaptive.project_s": "s",
-            "adaptive.repair_s": "s",
-            "adaptive.loop_self_s": "s",
-            "adaptive.decisions": "count",
-            "adaptive.adopted_frac": "ratio",
-            "multi_tenant.plan_arrival.calls": "count",
-            "multi_tenant.plan_arrival_s": "s",
-            "multi_tenant.handle_event_s": "s",
-            "admission.evaluate.calls": "count",
-            "admission.admitted_frac": "ratio",
-            "admission.deferred": "count",
-            "admission.rejected": "count",
-            "simulation.events": "count",
-            "simulation.dispatch_s": "s",
-            "simulation.replay_s": "s",
-            "run.self_s": "s",
-            "plan.samples": "count",
-            "replan.samples": "count",
-            "trace.overhead": "ratio",
-        }
-    )
-    return units
+@dataclass
+class TraceView:
+    """What one traced round leaves behind for its per-layer metrics."""
+
+    layers: Dict[str, Dict[str, float]]
+    counts: Dict[str, int]
+    event_stats: Dict[str, float]
+    loop_self_s: float
+    #: ``RunResult.decisions`` of the round's adaptive runs
+    decisions: list
+    #: admission decisions of the round's shared grids
+    admission: list
+    plans: int
+    replans: int
+    run_s: float
+    #: run time of the untraced round run just before this one
+    untraced_run_s: float = float("nan")
+
+    def total(self, span: str) -> float:
+        return self.layers[span]["total_s"] if span in self.layers else 0.0
+
+    def calls(self, span: str) -> int:
+        return self.layers[span]["calls"] if span in self.layers else 0
+
+    def self_s(self, *prefixes: str) -> float:
+        return sum(
+            row["self_s"] for name, row in self.layers.items() if name.startswith(prefixes)
+        )
+
+
+def _share(items, accept) -> float:
+    return sum(map(accept, items)) / len(items) if items else 0.0
+
+
+def _total(span: str):
+    return lambda view: view.total(span)
+
+
+def _calls(span: str):
+    return lambda view: view.calls(span)
+
+
+def _count(counter: str):
+    return lambda view: view.counts.get(counter, 0)
+
+
+#: every per-layer metric: (name, unit, better, its value in one traced
+#: round).  ``BENCHMARK.json`` lists the same names, units and directions;
+#: a test keeps the two in step.
+PER_LAYER = (
+    ("generators.dag_s", "s", "lower", _total("generators.dag")),
+    ("generators.price_s", "s", "lower", _total("generators.price")),
+    ("generators.stream_s", "s", "lower", _total("generators.stream")),
+    ("scenarios.materialize_s", "s", "lower", _total("scenarios.materialize")),
+    ("workflow.ranks.calls", "count", "lower", _calls("workflow.ranks")),
+    ("workflow.ranks_s", "s", "lower", _total("workflow.ranks")),
+    ("workflow.pred_comms_s", "s", "lower", _total("workflow.pred_comms")),
+    ("workflow.cost_matrix.calls", "count", "lower", _calls("workflow.cost_matrix")),
+    ("workflow.cost_matrix_s", "s", "lower", _total("workflow.cost_matrix")),
+    ("predictor.estimate.calls", "count", "lower", _calls("predictor.estimate")),
+    ("predictor.estimate_s", "s", "lower", _total("predictor.estimate")),
+    ("costs.lazy_price.calls", "count", "lower", _count("costs.lazy_price")),
+    (
+        "scheduling.self_s", "s", "lower",
+        lambda view: view.self_s(
+            "scheduling.schedule.", "scheduling.reschedule.", "scheduling.map_ready_jobs."
+        ),
+    ),
+    ("scheduling.frame.fea.calls", "count", "lower", _count("scheduling.frame.fea")),
+    ("scheduling.flow.solve.calls", "count", "lower", _calls("scheduling.flow.solve")),
+    ("scheduling.flow.solve_s", "s", "lower", _total("scheduling.flow.solve")),
+    *(
+        row
+        for strategy, method in SCHEDULER_ENTRIES
+        for row in (
+            (f"scheduling.{method}_s.{strategy}", "s", "lower",
+             _total(f"scheduling.{method}.{strategy}")),
+            (f"scheduling.{method}.calls.{strategy}", "count", "lower",
+             _calls(f"scheduling.{method}.{strategy}")),
+        )
+    ),
+    ("adaptive.project_s", "s", "lower", _total("adaptive.project")),
+    ("adaptive.repair_s", "s", "lower", _total("adaptive.repair")),
+    ("adaptive.loop_self_s", "s", "lower", lambda view: view.loop_self_s),
+    ("adaptive.decisions", "count", "lower", lambda view: len(view.decisions)),
+    (
+        "adaptive.adopted_frac", "ratio", "higher",
+        lambda view: _share(view.decisions, lambda d: d.adopted),
+    ),
+    ("multi_tenant.plan_arrival.calls", "count", "lower", _calls("multi_tenant.plan_arrival")),
+    ("multi_tenant.plan_arrival_s", "s", "lower", _total("multi_tenant.plan_arrival")),
+    ("multi_tenant.handle_event_s", "s", "lower", _total("multi_tenant.handle_event")),
+    ("admission.evaluate.calls", "count", "lower", _calls("admission.evaluate")),
+    (
+        "admission.admitted_frac", "ratio", "higher",
+        lambda view: _share(view.admission, lambda d: d.action == "admit"),
+    ),
+    (
+        "admission.deferred", "count", "lower",
+        lambda view: sum(d.action == "defer" for d in view.admission),
+    ),
+    (
+        "admission.rejected", "count", "lower",
+        lambda view: sum(d.action == "reject" for d in view.admission),
+    ),
+    ("simulation.events", "count", "lower", lambda view: view.event_stats.get("events", 0)),
+    (
+        "simulation.dispatch_s", "s", "lower",
+        lambda view: view.event_stats.get("dispatch_seconds", 0.0),
+    ),
+    ("simulation.replay_s", "s", "lower", _total("simulation.replay")),
+    ("run.self_s", "s", "lower", lambda view: view.self_s("run.")),
+    ("plan.samples", "count", "lower", lambda view: view.plans),
+    ("replan.samples", "count", "lower", lambda view: view.replans),
+    ("trace.overhead", "ratio", "lower", lambda view: view.run_s / view.untraced_run_s),
+)
 
 
 @dataclass
 class Round:
-    setup_s: List[float]
+    setup_s: float
     #: wall time of each ``repro.run`` call, in round order
     run_times: List[float]
     plan_s: List[float]
-    decision_s: List[float]
+    #: strategy -> its decision times, in call order
+    decision_s: Dict[str, List[float]]
     makespan: float
     signature: list
     attempted: int
     failed: int
-    layers: Dict[str, float] = field(default_factory=dict)
+    trace: Optional[TraceView] = None
 
 
 def execute(run, log: CallLog):
@@ -146,26 +213,24 @@ def _no_span(name: str):
     return nullcontext()
 
 
-def run_round(
-    workload: str, seed: int, log: CallLog, *, setups: int = 1, report: bool = False
-) -> Round:
-    """Set up (``setups`` times, keeping the last), execute and validate."""
+def run_round(workload: str, seed: int, log: CallLog, *, report: bool = False) -> Round:
+    """Set up, execute and validate."""
     tracer = log if isinstance(log, Tracer) else None
     span = tracer.span if tracer is not None else _no_span
-    setup_s = []
     with tracer.installed() if tracer is not None else nullcontext():
-        for _ in range(setups):
-            log.new_round()
-            gc.collect()  # the previous round's garbage is not this round's cost
-            t0 = perf_counter()
-            runs = WORKLOADS[workload](seed, span)
-            setup_s.append(perf_counter() - t0)
+        log.new_round()
+        gc.collect()  # the previous round's garbage is not this round's cost
+        t0 = perf_counter()
+        runs = WORKLOADS[workload](seed, span)
+        setup_s = perf_counter() - t0
         gc.collect()
         results = []
         run_times = []
         for run in runs:
             if tracer is not None:
                 tracer.case = run.label
+            decisions = log.decisions[run.strategy]
+            kept = len(log.plans), len(decisions)
             t0 = perf_counter()
             try:
                 with span(f"run.{run.mode}"):
@@ -174,6 +239,9 @@ def run_round(
                 if report:
                     traceback.print_exc(file=sys.stderr)
                 result = None
+                # a raise cuts a case short at a point that varies with the
+                # seed; its calls would shift the latency percentiles
+                del log.plans[kept[0]:], decisions[kept[1]:]
             run_times.append(perf_counter() - t0)
             results.append(result)
 
@@ -206,96 +274,58 @@ def run_round(
         signature=signatures,
         attempted=attempted,
         failed=failed,
-        layers=layer_metrics(tracer, runs, results) if tracer is not None else {},
-    )
-
-
-def layer_metrics(tracer: Tracer, runs, results) -> Dict[str, float]:
-    """The per-layer metrics of one traced round (run seconds excluded)."""
-    layers = tracer.layers()
-
-    def total(name: str) -> float:
-        return layers[name]["total_s"] if name in layers else 0.0
-
-    def calls(name: str) -> int:
-        return layers[name]["calls"] if name in layers else 0
-
-    metrics: Dict[str, float] = {
-        "generators.dag_s": total("generators.dag"),
-        "generators.price_s": total("generators.price"),
-        "generators.stream_s": total("generators.stream"),
-        "scenarios.materialize_s": total("scenarios.materialize"),
-        "workflow.ranks.calls": calls("workflow.ranks"),
-        "workflow.ranks_s": total("workflow.ranks"),
-        "workflow.pred_comms_s": total("workflow.pred_comms"),
-        "workflow.cost_matrix.calls": calls("workflow.cost_matrix"),
-        "workflow.cost_matrix_s": total("workflow.cost_matrix"),
-        "predictor.estimate.calls": calls("predictor.estimate"),
-        "predictor.estimate_s": total("predictor.estimate"),
-        "costs.lazy_price.calls": tracer.counts["costs.lazy_price"],
-        "scheduling.self_s": sum(
-            row["self_s"]
-            for name, row in layers.items()
-            if name.startswith(("scheduling.schedule.", "scheduling.reschedule.",
-                                "scheduling.map_ready_jobs."))
+        trace=(
+            trace_view(tracer, runs, results, sum(run_times)) if tracer is not None else None
         ),
-        "scheduling.frame.fea.calls": tracer.counts["scheduling.frame.fea"],
-        "scheduling.flow.solve.calls": calls("scheduling.flow.solve"),
-        "scheduling.flow.solve_s": total("scheduling.flow.solve"),
-    }
-    for strategy, method in SCHEDULER_ENTRIES:
-        metrics[f"scheduling.{method}_s.{strategy}"] = total(
-            f"scheduling.{method}.{strategy}"
-        )
-        metrics[f"scheduling.{method}.calls.{strategy}"] = calls(
-            f"scheduling.{method}.{strategy}"
-        )
-
-    adaptive = [
-        result for run, result in zip(runs, results)
-        if run.mode == "adaptive" and result is not None
-    ]
-    decisions = [d for result in adaptive for d in result.decisions]
-    admission = [
-        d for run, result in zip(runs, results)
-        if run.mode == "multi" and result is not None
-        for d in result.raw.admission
-    ]
-    metrics.update(
-        {
-            "adaptive.project_s": total("adaptive.project"),
-            "adaptive.repair_s": total("adaptive.repair"),
-            "adaptive.loop_self_s": tracer.loop_self_seconds("run.adaptive"),
-            "adaptive.decisions": len(decisions),
-            "adaptive.adopted_frac": (
-                sum(d.adopted for d in decisions) / len(decisions) if decisions else 0.0
-            ),
-            "multi_tenant.plan_arrival.calls": calls("multi_tenant.plan_arrival"),
-            "multi_tenant.plan_arrival_s": total("multi_tenant.plan_arrival"),
-            "multi_tenant.handle_event_s": total("multi_tenant.handle_event"),
-            "admission.evaluate.calls": calls("admission.evaluate"),
-            "admission.admitted_frac": (
-                sum(d.action == "admit" for d in admission) / len(admission)
-                if admission else 0.0
-            ),
-            "admission.deferred": sum(d.action == "defer" for d in admission),
-            "admission.rejected": sum(d.action == "reject" for d in admission),
-            "simulation.events": tracer.event_stats.get("events", 0),
-            "simulation.dispatch_s": tracer.event_stats.get("dispatch_seconds", 0.0),
-            "simulation.replay_s": total("simulation.replay"),
-            "run.self_s": sum(
-                row["self_s"] for name, row in layers.items() if name.startswith("run.")
-            ),
-        }
     )
-    return metrics
+
+
+def trace_view(tracer: Tracer, runs, results, run_s: float) -> TraceView:
+    ran = [(run, result) for run, result in zip(runs, results) if result is not None]
+    return TraceView(
+        layers=tracer.layers(),
+        counts=dict(tracer.counts),
+        event_stats=dict(tracer.event_stats),
+        loop_self_s=tracer.loop_self_seconds("run.adaptive"),
+        decisions=[
+            d for run, result in ran if run.mode == "adaptive" for d in result.decisions
+        ],
+        admission=[
+            d for run, result in ran if run.mode == "multi" for d in result.raw.admission
+        ],
+        plans=len(tracer.plans),
+        replans=sum(map(len, tracer.decisions.values())),
+        run_s=run_s,
+    )
 
 
 def _percentile(samples: List[float], q: int) -> float:
-    """The ``q``-th percentile (``statistics.quantiles``, exclusive method)."""
+    """The ``q``-th percentile, interpolated between measured samples.
+
+    The inclusive method never extrapolates beyond the slowest sample, so
+    the value lies within what the program took, even with few samples.
+    """
     if len(samples) < 2:
         raise ValueError(f"need at least two samples for a percentile, got {len(samples)}")
-    return statistics.quantiles(samples, n=100)[q - 1]
+    return statistics.quantiles(samples, n=100, method="inclusive")[q - 1]
+
+
+def replan_percentile(decisions: Dict[str, List[float]], q: int) -> float:
+    """The ``q``-th percentile of each strategy's decisions, geometric mean.
+
+    Every workload but ``strategy_mix`` runs one strategy, so this is the
+    plain percentile of its decision times.  Pooling the decisions of
+    several strategies would weigh each by its decision count, and a pooled
+    percentile would fall wherever two strategies' populations meet, moving
+    with every seed; the geometric mean weighs every strategy alike.  A
+    strategy with fewer than two decisions has no percentile and is left out.
+    """
+    percentiles = [
+        _percentile(times, q) for times in decisions.values() if len(times) >= 2
+    ]
+    if not percentiles:
+        raise ValueError("no strategy made two decisions: no replan percentile")
+    return statistics.geometric_mean(percentiles)
 
 
 @dataclass
@@ -330,12 +360,8 @@ def measure(workload: str, seed: int, seconds: float, trace: bool) -> Outcome:
     while True:
         if tracer is not None and len(traced) < len(untraced):
             traced.append(run_round(workload, seed, tracer))
-        elif untraced:
-            untraced.append(run_round(workload, seed, plain))
         else:
-            untraced.append(
-                run_round(workload, seed, plain, setups=FIRST_ROUND_SETUPS, report=True)
-            )
+            untraced.append(run_round(workload, seed, plain, report=not untraced))
         rounds = len(untraced) + len(traced)
         if rounds >= MIN_ROUNDS and perf_counter() - start >= seconds:
             break
@@ -350,38 +376,40 @@ def measure(workload: str, seed: int, seconds: float, trace: bool) -> Outcome:
     attempted = sum(r.attempted for r in every)
     failed = sum(r.failed for r in every)
 
-    plans = per_operation([r.plan_s for r in untraced])
-    decisions = per_operation([r.decision_s for r in untraced])
     if tracer is None:
+        plans = per_operation([r.plan_s for r in untraced])
+        decisions = {
+            strategy: per_operation([r.decision_s.get(strategy, []) for r in untraced])
+            for strategy in untraced[0].decision_s
+        }
         values = {
-            "setup_s": statistics.median(s for r in untraced for s in r.setup_s),
+            "setup_s": statistics.median(r.setup_s for r in untraced),
             "run_s": sum(per_operation([r.run_times for r in untraced])),
             "plan_s": statistics.median(plans),
-            "replan_ms.p50": 1000.0 * statistics.median(decisions),
-            "replan_ms.p90": 1000.0 * _percentile(decisions, 90),
+            "replan_ms.p50": 1000.0 * replan_percentile(decisions, 50),
+            "replan_ms.p90": 1000.0 * replan_percentile(decisions, 90),
             "makespan": untraced[0].makespan,
             "ok_frac": (attempted - failed) / attempted,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         }
         units = dict(END_TO_END)
         notes.append(
-            f"{len(untraced)} rounds; {len(plans)} plans and {len(decisions)} "
-            "decisions per round; run time per round: "
+            f"{len(untraced)} rounds; {len(plans)} plans and "
+            + ", ".join(f"{len(times)} {name}" for name, times in decisions.items() if times)
+            + " decisions per round; run time per round: "
             + " ".join(f"{sum(r.run_times):.3f}" for r in untraced)
         )
         export = None
     else:
-        units = per_layer_units()
+        # rounds alternate untraced, traced: each traced round pairs with
+        # the untraced round before it
+        for r, before in zip(traced, untraced):
+            r.trace.untraced_run_s = sum(before.run_times)
+        units = {name: unit for name, unit, _, _ in PER_LAYER}
         values = {
-            name: statistics.fmean(r.layers[name] for r in traced)
-            for name in units
-            if name in traced[0].layers
+            name: statistics.median(value(r.trace) for r in traced)
+            for name, _, _, value in PER_LAYER
         }
-        values["plan.samples"] = len(plans)
-        values["replan.samples"] = len(decisions)
-        values["trace.overhead"] = statistics.median(
-            sum(r.run_times) for r in traced
-        ) / statistics.median(sum(r.run_times) for r in untraced)
         notes.append(f"{len(untraced)} untraced + {len(traced)} traced rounds")
         export = tracer.export()
     metrics = {name: {"value": values[name], "unit": units[name]} for name in units}

@@ -7,6 +7,7 @@ and the same decision lists.
 
 from __future__ import annotations
 
+import json
 import shutil
 import subprocess
 import sys
@@ -18,7 +19,7 @@ import pytest
 import repro
 import workloads
 from gate import case_problems, signature
-from harness import execute
+from harness import END_TO_END, PER_LAYER, _percentile, execute, replan_percentile
 from repro.simulation.event_core import EventCore
 from repro.workflow.costs import CostModel
 from timing import CallLog
@@ -134,7 +135,39 @@ def test_timed_calls_split_plans_from_decisions():
     run = workloads.noisy_run("x", "adaptive", "aheft", 30, 5, no_span)
     result = execute(run, log)
     assert len(log.plans) == 1
-    assert len(log.decisions) == len(result.decisions)
+    assert len(log.decisions["aheft"]) == len(result.decisions)
+
+
+def test_multi_mode_plans_once_per_arrival(reduced):
+    run = reduced("multi_flash")[0]
+    log = CallLog()
+    execute(run, log)
+    # the first offer plans; its probe, re-offers and event replans decide
+    assert len(log.plans) == len(run.workload)
+    assert log.decisions
+
+
+def test_percentile_stays_within_the_samples():
+    samples = [1.0, 2.0, 3.0, 4.0, 10.0]
+    assert 4.0 < _percentile(samples, 90) <= 10.0
+    assert _percentile([2.0, 2.0], 90) == 2.0
+
+
+def test_replan_percentile_weighs_strategies_alike():
+    many_fast = [0.001] * 90
+    few_slow = [0.004] * 10
+    # pooled, the slow strategy would only reach p90's edge
+    assert replan_percentile({"fast": many_fast, "slow": few_slow}, 90) == pytest.approx(0.002)
+    assert replan_percentile({"only": many_fast + few_slow}, 50) == pytest.approx(0.001)
+    assert replan_percentile({"only": many_fast, "one": [9.0]}, 90) == pytest.approx(0.001)
+
+
+def test_manifest_lists_the_harness_metrics():
+    manifest = json.loads((BENCH.parent / "BENCHMARK.json").read_text())
+    assert [(m["name"], m["unit"]) for m in manifest["end_to_end"]] == list(END_TO_END)
+    assert [
+        (m["name"], m["unit"], m["better"]) for m in manifest["per_layer"]
+    ] == [row[:3] for row in PER_LAYER]
 
 
 def test_runner_fails_without_the_program_source(tmp_path):

@@ -10,9 +10,10 @@ decisions it would take unwrapped.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import partial
 from time import perf_counter
-from typing import List
+from typing import Dict, List
 
 import repro
 
@@ -22,9 +23,12 @@ ENTRY_POINTS = frozenset({"schedule", "reschedule", "map_ready_jobs"})
 class CallLog:
     """Wall times of wrapped scheduler entry calls, split by role.
 
-    A workflow's first call is its *plan*; every later ``reschedule``
-    (replan, admission re-offer) or ``map_ready_jobs`` batch on it is a
-    *decision*.  Later ``schedule`` calls (a warm re-plan) are neither.
+    A workflow's first call is its *plan*; every later ``reschedule`` or
+    ``map_ready_jobs`` batch on it is a *decision*.  Later ``schedule``
+    calls (a warm re-plan) are neither.  In multi mode the plan is the
+    first admission offer's tentative plan; its dedicated-span probe (made
+    on a busy grid), every deferred re-offer and every grid-event replan
+    are decisions.  Decisions are kept per strategy.
     """
 
     def __init__(self) -> None:
@@ -33,7 +37,7 @@ class CallLog:
     def new_round(self) -> None:
         """Start empty: a round re-creates its inputs."""
         self.plans: List[float] = []
-        self.decisions: List[float] = []
+        self.decisions: Dict[str, List[float]] = defaultdict(list)
         self._planned: set = set()
 
     def call(self, strategy: str, method: str, fn, *args, **kwargs):
@@ -43,7 +47,7 @@ class CallLog:
             self._planned.add(workflow)
             samples = self.plans
         elif method != "schedule":
-            samples = self.decisions
+            samples = self.decisions[strategy]
         else:
             return fn(*args, **kwargs)
         t0 = perf_counter()

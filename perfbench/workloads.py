@@ -58,7 +58,7 @@ def case_seed(seed: int, workload: str, index: int) -> int:
 # ----------------------------------------------------------------------
 # cold_large: one big sparse DAG, cold static plan, then 5 pool joins
 # ----------------------------------------------------------------------
-COLD_V = 20_000
+COLD_V = 10_000
 COLD_RESOURCES = 20
 
 
@@ -146,7 +146,7 @@ def noisy_run(
 
 
 NOISY_V = 150
-NOISY_CASES = 6
+NOISY_CASES = 3
 
 
 def adaptive_noisy(seed: int, span) -> List[Run]:
@@ -176,7 +176,7 @@ STRATEGY_MIX = {
 }
 #: DAGs per strategy: one DAG per strategy would let a single DAG's shape
 #: set the strategy's whole share of the round
-STRATEGY_CASES = 4
+STRATEGY_CASES = 3
 
 
 def strategy_mix(seed: int, span) -> List[Run]:
@@ -198,7 +198,7 @@ FLASH_V = 60
 FLASH_RESOURCES = 12
 #: independent shared grids per round: one grid's completion time hangs on
 #: its last few arrivals, so a single grid would make the round noisy
-FLASH_GRIDS = 4
+FLASH_GRIDS = 2
 
 
 def flash_grid(label: str, grid_seed: int, span) -> Run:
