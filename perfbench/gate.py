@@ -1,11 +1,14 @@
 """The correctness gate: every case's output is validated, failures counted.
 
 A failing case is reported, never hidden and never fatal: the harness
-counts it in ``failed`` and in the ``ok_frac`` metric and goes on.
+counts it in ``failed`` and in the ``ok_frac`` metric and goes on.  The
+first round of a run is gated case by case; every later round must
+reproduce its :func:`signature` exactly.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import List
 
 from repro import validate_schedule
@@ -72,6 +75,31 @@ def case_problems(run, result) -> List[List[str]]:
     return [single_problems(run, result)]
 
 
+def _assignments(schedule):
+    return None if schedule is None else tuple(schedule.all_assignments())
+
+
 def signature(run, result):
-    """What a repeat of the same seed must reproduce exactly."""
-    return (run.label, result.makespan, tuple(result.decisions))
+    """The whole output of a run, which a repeat of the same seed must
+    reproduce exactly: makespan, decisions and every assignment of the
+    final plan and of the executed trace (each workflow's, in multi mode).
+
+    A repeat whose signature equals a gated round's is as valid as that
+    round, so only the first round of a run is gated in full.  The output
+    is kept as a digest of its ``repr`` (exact for floats), so a run does
+    not hold its first round's schedules in memory.
+    """
+    if run.mode == "multi":
+        schedules = tuple(
+            (o.key, _assignments(o.schedule), _assignments(o.actual_schedule))
+            for o in result.raw.outcomes
+        )
+        schedules += (tuple(result.raw.rejected_keys()),)
+    else:
+        trace = result.trace
+        schedules = (
+            _assignments(result.schedule),
+            None if trace is None else _assignments(trace.to_schedule()),
+        )
+    output = repr((tuple(result.decisions), schedules)).encode()
+    return (run.label, result.makespan, hashlib.sha256(output).hexdigest())

@@ -1,10 +1,13 @@
 """Rounds, the correctness gate and the metrics of one benchmark run.
 
-A *round* generates a workload's inputs from the seed (timed: set-up),
-executes its ``repro.run`` calls (timed: run) and then validates every
-output (untimed).  Rounds repeat until the measuring time is spent, at
-least twice, and every repeat must reproduce the first round's
-makespans and decision lists exactly.
+A *round* generates a workload's inputs from the seed (timed: set-up) and
+executes its ``repro.run`` calls (timed: run).  The first round's outputs
+are then validated case by case (untimed); every later round must
+reproduce the first round's outputs exactly (``gate.signature``), so it is
+as valid.  Rounds repeat while the next one fits in the measuring time,
+at least twice.  ``attempted`` and ``failed`` count the seed's cases once,
+as the first round found them, so they are the same on every run of a
+seed however many rounds fit.
 
 Because rounds repeat the same deterministic operations, every operation
 -- each ``repro.run`` call, each scheduler call -- is timed once per
@@ -61,7 +64,7 @@ def _entry_methods(mode: str):
 #: (strategy, entry method) pairs with their own per-layer metrics
 SCHEDULER_ENTRIES = tuple(
     (strategy, method)
-    for strategy, (mode, _) in STRATEGY_MIX.items()
+    for strategy, (mode, _, _) in STRATEGY_MIX.items()
     for method in _entry_methods(mode)
 )
 
@@ -189,8 +192,8 @@ class Round:
     setup_s: float
     #: wall time of each ``repro.run`` call, in round order
     run_times: List[float]
-    plan_s: List[float]
-    #: strategy -> its decision times, in call order
+    #: group -> its plan / decision times, in call order (``CallLog``)
+    plan_s: Dict[str, List[float]]
     decision_s: Dict[str, List[float]]
     makespan: float
     signature: list
@@ -213,8 +216,22 @@ def _no_span(name: str):
     return nullcontext()
 
 
-def run_round(workload: str, seed: int, log: CallLog, *, report: bool = False) -> Round:
-    """Set up, execute and validate."""
+def name_groups(run, log: CallLog) -> None:
+    """Group ``run``'s calls by case, or by DAG kind in multi mode.
+
+    A latency statistic is taken per group and the groups are weighed alike
+    (:func:`grouped`): cases and kinds differ in size, so a statistic over
+    the pooled calls would fall between their populations and move with the
+    seed's mix of them.
+    """
+    if run.mode == "multi":
+        log.groups.update((id(a.case.workflow), a.kind) for a in run.workload)
+    else:
+        log.groups[id(run.workload)] = run.label
+
+
+def run_round(workload: str, seed: int, log: CallLog, *, gated: bool = False) -> Round:
+    """Set up and execute; validate every case if ``gated``."""
     tracer = log if isinstance(log, Tracer) else None
     span = tracer.span if tracer is not None else _no_span
     with tracer.installed() if tracer is not None else nullcontext():
@@ -229,19 +246,24 @@ def run_round(workload: str, seed: int, log: CallLog, *, report: bool = False) -
         for run in runs:
             if tracer is not None:
                 tracer.case = run.label
-            decisions = log.decisions[run.strategy]
-            kept = len(log.plans), len(decisions)
+            name_groups(run, log)
+            tables = (log.plans, log.decisions)
+            kept = [{group: len(samples) for group, samples in t.items()} for t in tables]
             t0 = perf_counter()
             try:
                 with span(f"run.{run.mode}"):
                     result = execute(run, log)
             except Exception:  # a failing case is counted, never fatal
-                if report:
+                if gated:
                     traceback.print_exc(file=sys.stderr)
                 result = None
                 # a raise cuts a case short at a point that varies with the
                 # seed; its calls would shift the latency percentiles
-                del log.plans[kept[0]:], decisions[kept[1]:]
+                for table, lengths in zip(tables, kept):
+                    for group in list(table):
+                        del table[group][lengths.get(group, 0):]
+                        if not table[group]:
+                            del table[group]
             run_times.append(perf_counter() - t0)
             results.append(result)
 
@@ -254,15 +276,14 @@ def run_round(workload: str, seed: int, log: CallLog, *, report: bool = False) -
             failed += run.cases
             signatures.append((run.label, None))
             continue
-        for problems in case_problems(run, result):
+        for problems in case_problems(run, result) if gated else ():
             if problems:
                 failed += 1
-                if report:
-                    print(
-                        f"perfbench: {workload} {run.label} failed the gate: "
-                        + "; ".join(problems[:3]),
-                        file=sys.stderr,
-                    )
+                print(
+                    f"perfbench: {workload} {run.label} failed the gate: "
+                    + "; ".join(problems[:3]),
+                    file=sys.stderr,
+                )
         makespan += result.makespan
         signatures.append(signature(run, result))
     return Round(
@@ -293,7 +314,7 @@ def trace_view(tracer: Tracer, runs, results, run_s: float) -> TraceView:
         admission=[
             d for run, result in ran if run.mode == "multi" for d in result.raw.admission
         ],
-        plans=len(tracer.plans),
+        plans=sum(map(len, tracer.plans.values())),
         replans=sum(map(len, tracer.decisions.values())),
         run_s=run_s,
     )
@@ -310,22 +331,25 @@ def _percentile(samples: List[float], q: int) -> float:
     return statistics.quantiles(samples, n=100, method="inclusive")[q - 1]
 
 
-def replan_percentile(decisions: Dict[str, List[float]], q: int) -> float:
-    """The ``q``-th percentile of each strategy's decisions, geometric mean.
+def grouped(samples: Dict[str, List[float]], statistic, minimum: int = 1) -> float:
+    """``statistic`` of each group's samples, combined by geometric mean.
 
-    Every workload but ``strategy_mix`` runs one strategy, so this is the
-    plain percentile of its decision times.  Pooling the decisions of
-    several strategies would weigh each by its decision count, and a pooled
-    percentile would fall wherever two strategies' populations meet, moving
-    with every seed; the geometric mean weighs every strategy alike.  A
-    strategy with fewer than two decisions has no percentile and is left out.
+    Groups (cases, or DAG kinds in multi mode; see :func:`name_groups`)
+    differ in size, so their latencies lie apart.  A statistic of the pooled
+    samples would weigh each group by its call count and fall wherever two
+    groups' populations meet, moving with every seed; the geometric mean
+    weighs every group alike.  A group with fewer than ``minimum`` samples
+    is left out.
     """
-    percentiles = [
-        _percentile(times, q) for times in decisions.values() if len(times) >= 2
-    ]
-    if not percentiles:
-        raise ValueError("no strategy made two decisions: no replan percentile")
-    return statistics.geometric_mean(percentiles)
+    values = [statistic(times) for times in samples.values() if len(times) >= minimum]
+    if not values:
+        raise ValueError(f"no group has {minimum} samples")
+    return statistics.geometric_mean(values)
+
+
+def replan_percentile(decisions: Dict[str, List[float]], q: int) -> float:
+    """The ``q``-th percentile of each group's decisions, geometric mean."""
+    return grouped(decisions, lambda times: _percentile(times, q), minimum=2)
 
 
 @dataclass
@@ -356,14 +380,16 @@ def measure(workload: str, seed: int, seconds: float, trace: bool) -> Outcome:
     tracer = Tracer() if trace else None
     untraced: List[Round] = []
     traced: List[Round] = []
-    start = perf_counter()
+    start = last = perf_counter()
     while True:
         if tracer is not None and len(traced) < len(untraced):
             traced.append(run_round(workload, seed, tracer))
         else:
-            untraced.append(run_round(workload, seed, plain, report=not untraced))
-        rounds = len(untraced) + len(traced)
-        if rounds >= MIN_ROUNDS and perf_counter() - start >= seconds:
+            untraced.append(run_round(workload, seed, plain, gated=not untraced))
+        now = perf_counter()
+        elapsed, round_s, last = now - start, now - last, now
+        # stop before a round that would overrun the measuring time
+        if len(untraced) + len(traced) >= MIN_ROUNDS and elapsed + round_s > seconds:
             break
 
     every = untraced + traced
@@ -372,20 +398,22 @@ def measure(workload: str, seed: int, seconds: float, trace: bool) -> Outcome:
     for index, other in enumerate(every[1:], start=1):
         if other.signature != every[0].signature:
             correct = False
-            notes.append(f"round {index} did not reproduce round 0's makespans/decisions")
-    attempted = sum(r.attempted for r in every)
-    failed = sum(r.failed for r in every)
+            notes.append(f"round {index} did not reproduce round 0's outputs")
+    # the seed's cases, as the gated first round found them
+    attempted, failed = untraced[0].attempted, untraced[0].failed
 
     if tracer is None:
-        plans = per_operation([r.plan_s for r in untraced])
-        decisions = {
-            strategy: per_operation([r.decision_s.get(strategy, []) for r in untraced])
-            for strategy in untraced[0].decision_s
-        }
+        plans, decisions = (
+            {
+                group: per_operation([getattr(r, table).get(group, []) for r in untraced])
+                for group in getattr(untraced[0], table)
+            }
+            for table in ("plan_s", "decision_s")
+        )
         values = {
             "setup_s": statistics.median(r.setup_s for r in untraced),
             "run_s": sum(per_operation([r.run_times for r in untraced])),
-            "plan_s": statistics.median(plans),
+            "plan_s": grouped(plans, statistics.median),
             "replan_ms.p50": 1000.0 * replan_percentile(decisions, 50),
             "replan_ms.p90": 1000.0 * replan_percentile(decisions, 90),
             "makespan": untraced[0].makespan,
@@ -394,9 +422,9 @@ def measure(workload: str, seed: int, seconds: float, trace: bool) -> Outcome:
         }
         units = dict(END_TO_END)
         notes.append(
-            f"{len(untraced)} rounds; {len(plans)} plans and "
-            + ", ".join(f"{len(times)} {name}" for name, times in decisions.items() if times)
-            + " decisions per round; run time per round: "
+            f"{len(untraced)} rounds; {sum(map(len, plans.values()))} plans and "
+            f"{sum(map(len, decisions.values()))} decisions in {len(decisions)} groups "
+            "per round; run time per round: "
             + " ".join(f"{sum(r.run_times):.3f}" for r in untraced)
         )
         export = None

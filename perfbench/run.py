@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/run.py --workload cold_large --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload cold_large --seed 1 --seconds 42 --trace 0
 
 ``--trace 0`` prints every end-to-end metric; ``--trace 1`` runs traced
 rounds beside untraced ones, prints every per-layer metric and writes the

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import statistics
 import subprocess
 import sys
 from contextlib import nullcontext
@@ -17,9 +18,12 @@ from pathlib import Path
 import pytest
 
 import repro
+import harness
 import workloads
 from gate import case_problems, signature
-from harness import END_TO_END, PER_LAYER, _percentile, execute, replan_percentile
+from harness import (
+    END_TO_END, PER_LAYER, _percentile, execute, grouped, name_groups, replan_percentile,
+)
 from repro.simulation.event_core import EventCore
 from repro.workflow.costs import CostModel
 from timing import CallLog
@@ -30,16 +34,14 @@ BENCH = Path(__file__).resolve().parent.parent
 #: module constant -> reduced value, per workload
 REDUCED = {
     "cold_large": {"COLD_V": 400},
-    "adaptive_noisy": {"NOISY_V": 40, "NOISY_CASES": 2},
     "multi_flash": {
         "FLASH_TENANTS": 2, "FLASH_ARRIVALS": 3, "FLASH_V": 16, "FLASH_GRIDS": 2,
     },
     "strategy_mix": {
         "STRATEGY_MIX": {
-            name: (mode, 12 if name == "lookahead_heft" else 24)
-            for name, (mode, _) in workloads.STRATEGY_MIX.items()
+            name: (mode, 12 if name == "lookahead_heft" else 24, 1)
+            for name, (mode, _, _) in workloads.STRATEGY_MIX.items()
         },
-        "STRATEGY_CASES": 1,
     },
 }
 
@@ -133,18 +135,54 @@ def test_tracing_restores_everything_even_on_error():
 def test_timed_calls_split_plans_from_decisions():
     log = CallLog()
     run = workloads.noisy_run("x", "adaptive", "aheft", 30, 5, no_span)
+    name_groups(run, log)
     result = execute(run, log)
-    assert len(log.plans) == 1
-    assert len(log.decisions["aheft"]) == len(result.decisions)
+    assert list(log.plans) == ["x"] and len(log.plans["x"]) == 1
+    assert len(log.decisions["x"]) == len(result.decisions)
 
 
 def test_multi_mode_plans_once_per_arrival(reduced):
     run = reduced("multi_flash")[0]
     log = CallLog()
+    name_groups(run, log)
     execute(run, log)
     # the first offer plans; its probe, re-offers and event replans decide
-    assert len(log.plans) == len(run.workload)
+    assert sum(map(len, log.plans.values())) == len(run.workload)
+    assert set(log.plans) == {arrival.kind for arrival in run.workload}
     assert log.decisions
+
+
+def test_a_case_that_raised_leaves_no_latency_samples(monkeypatch):
+    monkeypatch.setitem(
+        workloads.WORKLOADS, "two",
+        lambda seed, span: [
+            workloads.noisy_run(f"c{i}", "adaptive", "aheft", 20, seed + i, span)
+            for i in range(2)
+        ],
+    )
+    real = harness.execute
+
+    def cut_short(run, log):
+        if run.label != "c1":
+            return real(run, log)
+        left = [3]
+
+        def call(*args, **kwargs):
+            left[0] -= 1
+            if left[0] < 0:
+                raise RuntimeError("cut short after three scheduler calls")
+            return CallLog.call(log, *args, **kwargs)
+
+        log.call = call
+        try:
+            return real(run, log)
+        finally:
+            del log.call
+
+    monkeypatch.setattr(harness, "execute", cut_short)
+    result = harness.run_round("two", 1, CallLog(), gated=True)
+    assert (result.attempted, result.failed) == (2, 1)
+    assert list(result.plan_s) == list(result.decision_s) == ["c0"]
 
 
 def test_percentile_stays_within_the_samples():
@@ -153,13 +191,15 @@ def test_percentile_stays_within_the_samples():
     assert _percentile([2.0, 2.0], 90) == 2.0
 
 
-def test_replan_percentile_weighs_strategies_alike():
+def test_latency_statistics_weigh_groups_alike():
     many_fast = [0.001] * 90
     few_slow = [0.004] * 10
     # pooled, the slow strategy would only reach p90's edge
     assert replan_percentile({"fast": many_fast, "slow": few_slow}, 90) == pytest.approx(0.002)
     assert replan_percentile({"only": many_fast + few_slow}, 50) == pytest.approx(0.001)
     assert replan_percentile({"only": many_fast, "one": [9.0]}, 90) == pytest.approx(0.001)
+    plans = {"small": [0.001, 0.001, 0.002], "large": [0.004]}
+    assert grouped(plans, statistics.median) == pytest.approx(0.002)
 
 
 def test_manifest_lists_the_harness_metrics():

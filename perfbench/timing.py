@@ -21,14 +21,20 @@ ENTRY_POINTS = frozenset({"schedule", "reschedule", "map_ready_jobs"})
 
 
 class CallLog:
-    """Wall times of wrapped scheduler entry calls, split by role.
+    """Wall times of wrapped scheduler entry calls, split by role and group.
 
     A workflow's first call is its *plan*; every later ``reschedule`` or
     ``map_ready_jobs`` batch on it is a *decision*.  Later ``schedule``
     calls (a warm re-plan) are neither.  In multi mode the plan is the
     first admission offer's tentative plan; its dedicated-span probe (made
     on a busy grid), every deferred re-offer and every grid-event replan
-    are decisions.  Decisions are kept per strategy.
+    are decisions.
+
+    Samples are kept per *group*.  Before a run, the harness names the group
+    of each workflow it hands over in :attr:`groups` (keyed by
+    ``id(workflow)``): the case for a single-workflow run, the DAG kind for
+    an arrival in multi mode.  A workflow it did not name falls in its
+    strategy's group.
     """
 
     def __init__(self) -> None:
@@ -36,18 +42,20 @@ class CallLog:
 
     def new_round(self) -> None:
         """Start empty: a round re-creates its inputs."""
-        self.plans: List[float] = []
+        self.plans: Dict[str, List[float]] = defaultdict(list)
         self.decisions: Dict[str, List[float]] = defaultdict(list)
+        self.groups: Dict[int, str] = {}
         self._planned: set = set()
 
     def call(self, strategy: str, method: str, fn, *args, **kwargs):
         batch = method == "map_ready_jobs"  # (ready_jobs, workflow, ...)
         workflow = id(args[1] if batch else args[0])
+        group = self.groups.get(workflow, strategy)
         if workflow not in self._planned:
             self._planned.add(workflow)
-            samples = self.plans
+            samples = self.plans[group]
         elif method != "schedule":
-            samples = self.decisions[strategy]
+            samples = self.decisions[group]
         else:
             return fn(*args, **kwargs)
         t0 = perf_counter()

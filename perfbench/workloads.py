@@ -102,7 +102,7 @@ def cold_large(seed: int, span) -> List[Run]:
 
 
 # ----------------------------------------------------------------------
-# noisy single-workflow runs on churn (adaptive_noisy, strategy_mix)
+# strategy_mix: every registered strategy on noisy churn runs
 # ----------------------------------------------------------------------
 NOISY_SCENARIO = "churn"
 NOISY_ERROR = "gaussian"  # registered default magnitude: 0.2
@@ -145,44 +145,30 @@ def noisy_run(
     )
 
 
-NOISY_V = 150
-NOISY_CASES = 3
-
-
-def adaptive_noisy(seed: int, span) -> List[Run]:
-    return [
-        noisy_run(
-            f"aheft/adaptive#{i}", "adaptive", "aheft", NOISY_V,
-            case_seed(seed, "adaptive_noisy", i), span,
-        )
-        for i in range(NOISY_CASES)
-    ]
-
-
-#: strategy -> (mode that exercises it, V); V is sized so the strategy's
-#: cases take about a second together
+#: strategy -> (mode that exercises it, V, DAGs per round).  One DAG's
+#: cost varies by 20-40 % with its seed at any V, and a strategy's cost
+#: grows faster than V, so many small DAGs average that out far better in
+#: the same time than a few large ones.  Each strategy's DAGs take about
+#: 0.2-0.5 s together.
 STRATEGY_MIX = {
-    "aheft": ("adaptive", 80),
-    "cpop": ("adaptive", 50),
-    "heft_dup": ("adaptive", 50),
-    "mincost_flow": ("adaptive", 50),
-    "lookahead_heft": ("adaptive", 20),
-    "minmin": ("dynamic", 100),
-    "maxmin": ("dynamic", 100),
-    "sufferage": ("dynamic", 100),
-    "heft": ("static", 150),
-    "olb": ("static", 150),
-    "random_static": ("static", 150),
+    "aheft": ("adaptive", 30, 4),
+    "cpop": ("adaptive", 30, 4),
+    "heft_dup": ("adaptive", 30, 4),
+    "mincost_flow": ("adaptive", 30, 4),
+    "lookahead_heft": ("adaptive", 12, 6),
+    "minmin": ("dynamic", 50, 4),
+    "maxmin": ("dynamic", 50, 4),
+    "sufferage": ("dynamic", 50, 4),
+    "heft": ("static", 60, 4),
+    "olb": ("static", 60, 4),
+    "random_static": ("static", 60, 4),
 }
-#: DAGs per strategy: one DAG per strategy would let a single DAG's shape
-#: set the strategy's whole share of the round
-STRATEGY_CASES = 3
 
 
 def strategy_mix(seed: int, span) -> List[Run]:
     runs = []
-    for strategy, (mode, v) in STRATEGY_MIX.items():
-        for i in range(STRATEGY_CASES):
+    for strategy, (mode, v, cases) in STRATEGY_MIX.items():
+        for i in range(cases):
             run_seed = case_seed(seed, f"strategy_mix/{strategy}", i)
             runs.append(noisy_run(f"{strategy}/{mode}#{i}", mode, strategy, v, run_seed, span))
     return runs
@@ -240,7 +226,6 @@ def multi_flash(seed: int, span) -> List[Run]:
 
 WORKLOADS: Dict[str, Callable[[int, Callable], List[Run]]] = {
     "cold_large": cold_large,
-    "adaptive_noisy": adaptive_noisy,
     "multi_flash": multi_flash,
     "strategy_mix": strategy_mix,
 }
